@@ -6,7 +6,7 @@
 //! behind `Box<dyn SliceProtocol>`.
 
 use crate::ranking::RobustFilter;
-use crate::{DecayRanking, Ordering, Ranking, SlidingRanking};
+use crate::{DecayRanking, Ordering, Ranking, SlidingRanking, ValueWindow};
 use dslice_core::protocol::SliceProtocol;
 use dslice_core::{Attribute, Error, NodeId, Partition, Result};
 use rand::Rng;
@@ -180,16 +180,15 @@ impl ProtocolKind {
                     lambda_ppm
                 ))
             }
-            ProtocolKind::RobustRanking { window } if *window < 4 => bad(format!(
-                "robust-ranking window must be at least 4 (quartiles need spread), got {window}"
-            )),
-            ProtocolKind::TrimmedRanking { window, .. }
+            ProtocolKind::RobustRanking { window }
+            | ProtocolKind::TrimmedRanking { window, .. }
             | ProtocolKind::FencedTrimmedRanking { window, .. }
-                if *window < 4 =>
+                if !(4..=ValueWindow::MAX_CAPACITY).contains(window) =>
             {
                 bad(format!(
-                    "{} window must be at least 4 (quantiles need spread), got {window}",
-                    self.label()
+                    "{} window must lie in 4..={} (quartiles need spread), got {window}",
+                    self.label(),
+                    ValueWindow::MAX_CAPACITY
                 ))
             }
             ProtocolKind::TrimmedRanking { trim_ppm, .. }
@@ -431,6 +430,23 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Admission windows are capped at the u16 sorted index's range.
+        let max = ValueWindow::MAX_CAPACITY;
+        for window in [max, max + 1] {
+            for kind in [
+                ProtocolKind::RobustRanking { window },
+                ProtocolKind::TrimmedRanking {
+                    window,
+                    trim_ppm: 100_000,
+                },
+                ProtocolKind::FencedTrimmedRanking {
+                    window,
+                    trim_ppm: 100_000,
+                },
+            ] {
+                assert_eq!(kind.validate().is_ok(), window == max, "{kind:?}");
+            }
+        }
         assert!(ProtocolKind::ModJkLive {
             strike_limit: 0,
             cooldown: 16

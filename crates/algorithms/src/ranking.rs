@@ -121,7 +121,8 @@ impl RobustFilter {
     /// `k > 0`.
     ///
     /// # Panics
-    /// Panics if `fence_k` is not positive and finite, or `window` is zero.
+    /// Panics if `fence_k` is not positive and finite, or `window` is zero
+    /// or above [`ValueWindow::MAX_CAPACITY`].
     pub fn with_fence(window: usize, fence_k: f64) -> Self {
         assert!(
             fence_k.is_finite() && fence_k > 0.0,
@@ -139,7 +140,7 @@ impl RobustFilter {
     ///
     /// # Panics
     /// Panics if `pct` is not strictly inside `(0, 0.5)`, or `window` is
-    /// zero.
+    /// zero or above [`ValueWindow::MAX_CAPACITY`].
     pub fn trimmed(window: usize, pct: f64) -> Self {
         assert!(
             pct.is_finite() && pct > 0.0 && pct < 0.5,
@@ -157,7 +158,7 @@ impl RobustFilter {
     ///
     /// # Panics
     /// Panics if `pct` is not strictly inside `(0, 0.5)`, or `window` is
-    /// zero.
+    /// zero or above [`ValueWindow::MAX_CAPACITY`].
     pub fn fenced_trimmed(window: usize, pct: f64) -> Self {
         let mut filter = Self::trimmed(window, pct);
         filter.fence_k = Some(Self::DEFAULT_FENCE_K);
@@ -184,7 +185,10 @@ impl RobustFilter {
     /// outlier and should not enter the estimate.
     pub fn admit(&mut self, value: f64) -> bool {
         let admitted = if self.window.is_full() {
-            let fence_ok = match self.fence_k.and_then(|k| self.window.tukey_fences(k)) {
+            // One set of quartiles serves both tests (O(1) reads of the
+            // window's sorted index).
+            let quartiles = self.window.quartiles().expect("window is full");
+            let fence_ok = match self.fence_k.and_then(|k| quartiles.fences(k)) {
                 Some((lo, hi)) => value >= lo && value <= hi,
                 // Fence disabled, or zero spread: no basis to reject.
                 None => true,
@@ -201,10 +205,11 @@ impl RobustFilter {
                     // estimate. Sanitizing the evidence base closes that
                     // channel; admission keeps the forgiving outer fences.
                     let (lo, hi) = match self.fence_k {
-                        Some(k) => self
-                            .window
-                            .fenced_trim_cuts(k * Self::INNER_FENCE_RATIO, pct)
-                            .expect("window is full"),
+                        Some(k) => self.window.fenced_trim_cuts_from(
+                            quartiles,
+                            k * Self::INNER_FENCE_RATIO,
+                            pct,
+                        ),
                         None => (
                             self.window.quantile(pct).expect("window is full"),
                             self.window.quantile(1.0 - pct).expect("window is full"),
@@ -236,7 +241,8 @@ pub struct RankingProtocol<E: RankEstimator> {
     targeting: Targeting,
     /// Optional outlier-robust sample admission (off for the paper-faithful
     /// variants; every sample is absorbed unconditionally when `None`).
-    filter: Option<RobustFilter>,
+    /// Boxed so undefended nodes carry one pointer, not a whole window.
+    filter: Option<Box<RobustFilter>>,
 }
 
 /// The ranking algorithm with unbounded counters (Fig. 5).
@@ -329,13 +335,13 @@ impl<E: RankEstimator> RankingProtocol<E> {
     /// Attaches outlier-robust sample admission (builder style): samples
     /// outside the filter's fences are rejected instead of absorbed.
     pub fn with_filter(mut self, filter: RobustFilter) -> Self {
-        self.filter = Some(filter);
+        self.filter = Some(Box::new(filter));
         self
     }
 
     /// The robust-admission filter, if one is attached.
     pub fn filter(&self) -> Option<&RobustFilter> {
-        self.filter.as_ref()
+        self.filter.as_deref()
     }
 
     /// The target-selection policy in use.

@@ -15,8 +15,21 @@
 //! queries over them — the evidence base for the outlier-robust absorption
 //! defense, which needs quartiles of the recent sample stream to decide
 //! whether a new sample is statistically plausible.
+//!
+//! The defense queries the window once per gossiped sample, so the window
+//! stays sorted as samples arrive instead of being sorted per query. Its
+//! cost model, for a window of `w` samples:
+//!
+//! * **push:** O(log w) compares to find the evicted and the new sample's
+//!   ranks, plus one memmove of at most `2·w` bytes in a `u16` index; no
+//!   allocation (both buffers are sized in [`ValueWindow::new`]);
+//! * **quantile, quartiles, Tukey fences:** O(1);
+//! * **fence-sanitized trim cuts:** O(log w) (two binary searches);
+//! * **memory:** `10·w` bytes (8 per value, 2 per index entry), with `w` at
+//!   most [`ValueWindow::MAX_CAPACITY`] = 2¹⁶ so a slot fits in a `u16`.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A fixed-capacity ring buffer of bits with a running count of ones.
 ///
@@ -208,6 +221,28 @@ impl Deserialize for BitWindow {
     }
 }
 
+/// The first and third quartiles `(q1, q3)` of a [`ValueWindow`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Quartiles {
+    /// The 0.25-quantile.
+    pub(crate) q1: f64,
+    /// The 0.75-quantile.
+    pub(crate) q3: f64,
+}
+
+impl Quartiles {
+    /// Tukey outlier fences `(q1 − k·IQR, q3 + k·IQR)`, or `None` when the
+    /// interquartile range is zero (a degenerate stream carries no spread
+    /// information to judge outliers against).
+    pub(crate) fn fences(self, k: f64) -> Option<(f64, f64)> {
+        let iqr = self.q3 - self.q1;
+        if iqr <= 0.0 {
+            return None;
+        }
+        Some((self.q1 - k * iqr, self.q3 + k * iqr))
+    }
+}
+
 /// A fixed-capacity FIFO window of raw `f64` samples with order-statistic
 /// queries.
 ///
@@ -215,25 +250,51 @@ impl Deserialize for BitWindow {
 /// window retains the values themselves so their spread can be measured:
 /// the robust-absorption defense asks "is this new sample an outlier versus
 /// the recent stream?" via [`tukey_fences`](ValueWindow::tukey_fences).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Samples sit in a FIFO ring (`values`) and, beside it, an index `order`
+/// of ring slots sorted by the key `(value.total_cmp, slot)`. The key is
+/// unique, so a slot's rank is found by binary search. A push on a full
+/// window moves the evicted slot to the new value's rank with one memmove
+/// of at most `2·capacity` bytes (O(log w) compares, no allocation), and
+/// every order statistic is a direct read of `values[order[r]]`. Samples
+/// equal under `total_cmp` have identical bits, so the values read along
+/// `order` are exactly the window sorted by `total_cmp`.
+///
+/// Deserialization is validating and rebuilds `order`, which is derived
+/// state and never serialized.
+#[derive(Debug, PartialEq)]
 pub struct ValueWindow {
     values: Vec<f64>,
     capacity: usize,
     /// Index the next overwrite lands on once the window has filled.
     head: usize,
+    /// Ring slots sorted by `(values[slot].total_cmp, slot)`.
+    order: Vec<u16>,
 }
 
 impl ValueWindow {
-    /// Creates a window retaining the freshest `capacity ≥ 1` samples.
+    /// The largest capacity a window supports: ring slots are indexed by
+    /// `u16` in the sorted order.
+    pub const MAX_CAPACITY: usize = 1 << 16;
+
+    /// Creates a window retaining the freshest `capacity` samples, with
+    /// `1 ≤ capacity ≤` [`MAX_CAPACITY`](Self::MAX_CAPACITY). Both buffers
+    /// are allocated here, so pushes never allocate.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above `MAX_CAPACITY`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ValueWindow capacity must be at least 1");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "ValueWindow capacity must be at most {}, got {capacity}",
+            Self::MAX_CAPACITY
+        );
         ValueWindow {
-            values: Vec::new(),
+            values: Vec::with_capacity(capacity),
             capacity,
             head: 0,
+            order: Vec::with_capacity(capacity),
         }
     }
 
@@ -260,17 +321,64 @@ impl ValueWindow {
     /// Pushes a sample, evicting the oldest one if the window is full.
     pub fn push(&mut self, value: f64) {
         if self.values.len() < self.capacity {
+            let slot = self.values.len();
             self.values.push(value);
+            let rank = self.rank_in(0..slot, slot);
+            self.order.insert(rank, slot as u16);
+            return;
+        }
+        let slot = self.head;
+        self.head = (slot + 1) % self.capacity;
+        let old = self.rank_in(0..self.capacity, slot);
+        let before = self.values[slot];
+        self.values[slot] = value;
+        // Every entry but `order[old]` is still sorted; find the new rank
+        // on the side the key moved to and shift the entries in between.
+        if value.total_cmp(&before).is_gt() {
+            let rank = old + 1 + self.rank_in(old + 1..self.capacity, slot);
+            self.order.copy_within(old + 1..rank, old);
+            self.order[rank - 1] = slot as u16;
         } else {
-            self.values[self.head] = value;
-            self.head = (self.head + 1) % self.capacity;
+            let rank = self.rank_in(0..old, slot);
+            self.order.copy_within(rank..old, rank + 1);
+            self.order[rank] = slot as u16;
         }
     }
 
     /// Discards all stored samples.
     pub fn clear(&mut self) {
         self.values.clear();
+        self.order.clear();
         self.head = 0;
+    }
+
+    /// Whether slot `a` sorts before slot `b` under the key
+    /// `(value.total_cmp, slot)`.
+    fn key_lt(&self, a: usize, b: usize) -> bool {
+        self.values[a]
+            .total_cmp(&self.values[b])
+            .then(a.cmp(&b))
+            .is_lt()
+    }
+
+    /// Number of entries of `order[range]` whose key sorts before `slot`'s.
+    fn rank_in(&self, range: Range<usize>, slot: usize) -> usize {
+        self.order[range].partition_point(|&s| self.key_lt(s as usize, slot))
+    }
+
+    /// The `r`-th smallest stored sample.
+    fn nth(&self, r: usize) -> f64 {
+        self.values[self.order[r] as usize]
+    }
+
+    /// `q`-quantile with linear interpolation over the order statistics
+    /// `start..end` (a non-empty rank range).
+    fn interpolate(&self, start: usize, end: usize, q: f64) -> f64 {
+        let pos = q.clamp(0.0, 1.0) * (end - start - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        let (a, b) = (self.nth(start + lo), self.nth(start + hi));
+        a + (b - a) * (pos - lo as f64)
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`) of the stored samples with linear
@@ -279,17 +387,15 @@ impl ValueWindow {
         if self.values.is_empty() {
             return None;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        Some(Self::interpolate(&sorted, q))
+        Some(self.interpolate(0, self.len(), q))
     }
 
-    /// `q`-quantile over an already-sorted slice.
-    fn interpolate(sorted: &[f64], q: f64) -> f64 {
-        let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    /// The quartiles of the stored samples, or `None` when empty.
+    pub(crate) fn quartiles(&self) -> Option<Quartiles> {
+        Some(Quartiles {
+            q1: self.quantile(0.25)?,
+            q3: self.quantile(0.75)?,
+        })
     }
 
     /// Tukey outlier fences `(q1 − k·IQR, q3 + k·IQR)` over the stored
@@ -297,18 +403,7 @@ impl ValueWindow {
     /// is zero (a degenerate stream carries no spread information to judge
     /// outliers against).
     pub fn tukey_fences(&self, k: f64) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let q1 = Self::interpolate(&sorted, 0.25);
-        let q3 = Self::interpolate(&sorted, 0.75);
-        let iqr = q3 - q1;
-        if iqr <= 0.0 {
-            return None;
-        }
-        Some((q1 - k * iqr, q3 + k * iqr))
+        self.quartiles()?.fences(k)
     }
 
     /// Trim cuts `(quantile(pct), quantile(1 − pct))` computed over the
@@ -325,27 +420,110 @@ impl ValueWindow {
     /// are undefined (zero spread) the cuts fall back to whole-window
     /// quantiles. `None` while the window is empty.
     pub fn fenced_trim_cuts(&self, k: f64, pct: f64) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let q1 = Self::interpolate(&sorted, 0.25);
-        let q3 = Self::interpolate(&sorted, 0.75);
-        let iqr = q3 - q1;
-        let inliers = if iqr > 0.0 {
-            let lo = q1 - k * iqr;
-            let hi = q3 + k * iqr;
-            let start = sorted.partition_point(|&v| v < lo);
-            let end = sorted.partition_point(|&v| v <= hi);
-            &sorted[start..end]
-        } else {
-            &sorted[..]
+        Some(self.fenced_trim_cuts_from(self.quartiles()?, k, pct))
+    }
+
+    /// [`fenced_trim_cuts`](ValueWindow::fenced_trim_cuts) for a caller
+    /// that already holds this window's [`quartiles`](ValueWindow::quartiles)
+    /// (so a non-empty window).
+    pub(crate) fn fenced_trim_cuts_from(
+        &self,
+        quartiles: Quartiles,
+        k: f64,
+        pct: f64,
+    ) -> (f64, f64) {
+        let (start, end) = match quartiles.fences(k) {
+            // A NaN spread yields NaN fences; it sanitizes nothing.
+            Some((lo, hi)) if quartiles.q3 - quartiles.q1 > 0.0 => (
+                self.order
+                    .partition_point(|&s| self.values[s as usize] < lo),
+                self.order
+                    .partition_point(|&s| self.values[s as usize] <= hi),
+            ),
+            _ => (0, self.len()),
         };
-        Some((
-            Self::interpolate(inliers, pct),
-            Self::interpolate(inliers, 1.0 - pct),
-        ))
+        (
+            self.interpolate(start, end, pct),
+            self.interpolate(start, end, 1.0 - pct),
+        )
+    }
+}
+
+impl Clone for ValueWindow {
+    /// Keeps both buffers at full capacity (a derived clone would shrink
+    /// them to the current length), so the clone's pushes never allocate.
+    fn clone(&self) -> Self {
+        let mut clone = ValueWindow::new(self.capacity);
+        clone.values.extend_from_slice(&self.values);
+        clone.order.extend_from_slice(&self.order);
+        clone.head = self.head;
+        clone
+    }
+}
+
+impl Serialize for ValueWindow {
+    /// The wire form is the ring alone, `{values, capacity, head}`: the
+    /// sorted index is derived state and is rebuilt on load.
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("values".to_string(), self.values.to_value()),
+            ("capacity".to_string(), self.capacity.to_value()),
+            ("head".to_string(), self.head.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ValueWindow {
+    /// Validating deserialization: a derived impl would accept `capacity: 0`
+    /// or more values than the capacity, and the next `push` would index
+    /// out of bounds. Each invariant `push`/`clear` maintain is re-checked
+    /// here, and the sorted index is rebuilt from the ring.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for struct ValueWindow"))?;
+        let field = |name: &str| serde::__field(m, name);
+        let err = |msg: String| serde::Error::custom(format!("ValueWindow: {msg}"));
+        let values: Vec<f64> = Deserialize::from_value(field("values"))
+            .map_err(|e| serde::Error::custom(format!("ValueWindow.values: {e}")))?;
+        let capacity: usize = Deserialize::from_value(field("capacity"))
+            .map_err(|e| serde::Error::custom(format!("ValueWindow.capacity: {e}")))?;
+        let head: usize = Deserialize::from_value(field("head"))
+            .map_err(|e| serde::Error::custom(format!("ValueWindow.head: {e}")))?;
+
+        if capacity == 0 || capacity > Self::MAX_CAPACITY {
+            return Err(err(format!(
+                "capacity {capacity} outside 1..={}",
+                Self::MAX_CAPACITY
+            )));
+        }
+        if values.len() > capacity {
+            return Err(err(format!(
+                "{} values exceed capacity {capacity}",
+                values.len()
+            )));
+        }
+        if head >= capacity {
+            return Err(err(format!(
+                "head {head} out of range for capacity {capacity}"
+            )));
+        }
+        // The head only moves once the window has filled.
+        if values.len() < capacity && head != 0 {
+            return Err(err(format!(
+                "head {head} inconsistent with unfilled len {}",
+                values.len()
+            )));
+        }
+
+        // Pushing the ring in slot order refills the same slots (an unfilled
+        // window appends) and rebuilds the index.
+        let mut window = ValueWindow::new(capacity);
+        for v in values {
+            window.push(v);
+        }
+        window.head = head;
+        Ok(window)
     }
 }
 
@@ -553,6 +731,70 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn value_window_zero_capacity_panics() {
         let _ = ValueWindow::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn value_window_capacity_above_max_panics() {
+        let _ = ValueWindow::new(ValueWindow::MAX_CAPACITY + 1);
+    }
+
+    #[test]
+    fn value_window_max_capacity_indexes_every_slot() {
+        // The last slot of a maximal window is u16::MAX. Descending pushes
+        // insert at rank 0 and, once full, evict the top rank: the longest
+        // shift the index ever makes.
+        let cap = ValueWindow::MAX_CAPACITY;
+        let mut w = ValueWindow::new(cap);
+        for i in 0..cap + 3 {
+            w.push(-(i as f64));
+        }
+        assert!(w.is_full());
+        assert_eq!(w.quantile(0.0), Some(-((cap + 2) as f64)));
+        assert_eq!(w.quantile(1.0), Some(-3.0));
+    }
+
+    #[test]
+    fn value_window_serde_roundtrip() {
+        let mut w = ValueWindow::new(5);
+        for v in [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0] {
+            w.push(v);
+        }
+        let json = serde_json::to_string(&w).unwrap();
+        assert_eq!(json, r#"{"values":[9,2,4,1,5],"capacity":5,"head":2}"#);
+        let parsed: ValueWindow = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed, w);
+        assert_eq!(parsed.quantile(0.5), Some(4.0));
+    }
+
+    #[test]
+    fn value_window_deserialize_rejects_inconsistent_state() {
+        let cases = [
+            (r#"{"values":[],"capacity":0,"head":0}"#, "capacity 0"),
+            (
+                r#"{"values":[],"capacity":65537,"head":0}"#,
+                "capacity 65537",
+            ),
+            (
+                r#"{"values":[1.0,2.0,3.0],"capacity":2,"head":0}"#,
+                "exceed",
+            ),
+            (r#"{"values":[1.0,2.0],"capacity":2,"head":2}"#, "head 2"),
+            (r#"{"values":[1.0],"capacity":2,"head":1}"#, "unfilled"),
+        ];
+        for (json, needle) in cases {
+            let err = serde_json::from_str::<ValueWindow>(json)
+                .expect_err(&format!("must reject {json}"))
+                .to_string();
+            assert!(
+                err.contains(needle),
+                "error for {json} should mention `{needle}`, got: {err}"
+            );
+        }
+        // A wrapped window's head may sit anywhere once it is full.
+        let ok: ValueWindow =
+            serde_json::from_str(r#"{"values":[1.0,2.0],"capacity":2,"head":1}"#).unwrap();
+        assert_eq!(ok.quantile(0.0), Some(1.0));
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! This isolates the algorithmic difference the paper discusses: mod-JK's
 //! gain maximization is O(c log c) against JK's O(c) scan, and the ranking
 //! algorithm's per-neighbor sample folding plus boundary search.
+//!
+//! `robust_admit` times one outlier-robust admission decision
+//! (`RobustFilter::admit` on a full window), which the defended ranking
+//! variants pay once per gossiped sample.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dslice_algorithms::{Ordering, Ranking};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use dslice_algorithms::{Ordering, Ranking, RobustFilter};
 use dslice_core::protocol::{MockContext, SliceProtocol};
 use dslice_core::{Attribute, NodeId, Partition, View, ViewEntry};
 use rand::rngs::StdRng;
@@ -64,5 +68,43 @@ fn bench_active_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_active_step);
+fn bench_robust_admit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("robust_admit");
+    // An honest spread with a far outlier every 17th sample, cycled so the
+    // window keeps turning over.
+    let mut rng = StdRng::seed_from_u64(7);
+    let stream: Vec<f64> = (0..4096)
+        .map(|i| {
+            let v = rng.gen_range(0.0..1e3);
+            if i % 17 == 0 {
+                v * 1e3
+            } else {
+                v
+            }
+        })
+        .collect();
+    for &w in &[64usize, 128] {
+        let cases = [
+            ("fence", RobustFilter::new(w)),
+            ("trim", RobustFilter::trimmed(w, 0.1)),
+            ("fence-trim", RobustFilter::fenced_trimmed(w, 0.1)),
+        ];
+        for (name, mut filter) in cases {
+            group.bench_with_input(BenchmarkId::new(name, w), &stream, move |b, stream| {
+                for &v in &stream[..w] {
+                    filter.admit(v);
+                }
+                let mut i = w;
+                b.iter(|| {
+                    let admitted = filter.admit(stream[i % stream.len()]);
+                    i += 1;
+                    black_box(admitted)
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_active_step, bench_robust_admit);
 criterion_main!(benches);

@@ -303,6 +303,24 @@ struct DeadVerdict {
 /// dropping (counted) is the right call.
 const LINK_QUEUE: usize = 16;
 
+/// Queues `item` on a link and counts it in the link's `depth`, returning
+/// the depth including `item`.
+///
+/// The count goes up *before* the send: the link task decrements as soon as
+/// it dequeues, which can happen before `try_send` even returns, and a
+/// decrement that ran first would wrap the counter. A failed send rolls its
+/// count back.
+fn send_counted<T>(
+    tx: &mpsc::Sender<T>,
+    depth: &AtomicU64,
+    item: T,
+) -> Result<u64, TrySendError<T>> {
+    let d = depth.fetch_add(1, Ordering::AcqRel) + 1;
+    tx.try_send(item).map(|()| d).inspect_err(|_| {
+        depth.fetch_sub(1, Ordering::AcqRel);
+    })
+}
+
 /// Everything a link task needs to deliver to one peer.
 struct Link {
     peer: NodeId,
@@ -325,7 +343,7 @@ impl Link {
     /// the final empty check and the receiver drop is lost; gossip treats
     /// that as one more lost datagram.)
     async fn run(self, mut rx: mpsc::Receiver<Outbound>) {
-        let mut conn: Option<TcpStream> = None;
+        let mut conn: Option<(SocketAddr, TcpStream)> = None;
         while let Some(out) = rx.try_recv() {
             self.depth.fetch_sub(1, Ordering::AcqRel);
             match self.deliver(&out, &mut conn).await {
@@ -347,14 +365,15 @@ impl Link {
         }
     }
 
-    /// Delivers one message under the retry policy. The peer's address is
-    /// re-resolved from the directory on every attempt so a peer that
-    /// restarted on a new port is picked up mid-message. On failure,
-    /// returns the last address tried.
+    /// Delivers one message under the retry policy, over `conn` (the open
+    /// connection and the address it was made to) when there is one. The
+    /// peer's address is re-resolved from the directory on every attempt so
+    /// a peer that restarted on a new port is picked up mid-message. On
+    /// failure, returns the last address tried.
     async fn deliver(
         &self,
         out: &Outbound,
-        conn: &mut Option<TcpStream>,
+        conn: &mut Option<(SocketAddr, TcpStream)>,
     ) -> Result<(), Option<SocketAddr>> {
         if let Some(delay) = out.delay {
             tokio::time::sleep(delay).await;
@@ -371,7 +390,7 @@ impl Link {
                 // Unregistered peer: no address to retry against.
                 return Err(last_addr);
             };
-            if last_addr != Some(addr) {
+            if conn.as_ref().is_some_and(|(at, _)| *at != addr) {
                 // The peer moved (restart on a new port): drop the stale
                 // connection.
                 *conn = None;
@@ -381,7 +400,7 @@ impl Link {
                 match tokio::time::timeout(self.policy.connect_timeout, TcpStream::connect(addr))
                     .await
                 {
-                    Ok(Ok(stream)) => *conn = Some(stream),
+                    Ok(Ok(stream)) => *conn = Some((addr, stream)),
                     Ok(Err(_refused)) => continue,
                     Err(_elapsed) => {
                         self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -389,7 +408,7 @@ impl Link {
                     }
                 }
             }
-            let stream = conn.as_mut().expect("connection established above");
+            let (_, stream) = conn.as_mut().expect("connection established above");
             match tokio::time::timeout(self.policy.write_timeout, write_frame(stream, &out.wire))
                 .await
             {
@@ -548,6 +567,10 @@ impl NodeRuntime {
         // Connections accepted while stalled: held unread, reset (dropped)
         // when the gate changes.
         let mut stalled: Vec<TcpStream> = Vec::new();
+        // A closed watch channel means the node's handle is gone (a reaped
+        // crash, a dropped cluster): nothing will ever reopen the gate or
+        // stop the loop, so the loop stops itself. Waiting on a closed
+        // channel would return at once, every time, and spin.
         loop {
             if *shutdown.borrow() {
                 return;
@@ -559,9 +582,12 @@ impl NodeRuntime {
             if mode == AcceptGate::Refuse {
                 // Close the socket so connects fail fast instead of queueing.
                 drop(listener.take());
-                tokio::select! {
-                    _ = gate.changed() => {}
-                    _ = shutdown.changed() => {}
+                let open = tokio::select! {
+                    changed = gate.changed() => { changed.is_ok() }
+                    changed = shutdown.changed() => { changed.is_ok() }
+                };
+                if !open {
+                    return;
                 }
                 continue;
             }
@@ -596,8 +622,16 @@ impl NodeRuntime {
                         }
                     });
                 }
-                _ = gate.changed() => {}
-                _ = shutdown.changed() => {}
+                changed = gate.changed() => {
+                    if changed.is_err() {
+                        return;
+                    }
+                }
+                changed = shutdown.changed() => {
+                    if changed.is_err() {
+                        return;
+                    }
+                }
             }
         }
     }
@@ -628,8 +662,11 @@ impl NodeRuntime {
                     self.on_dead_peer(verdict).await;
                     let _ = snapshot_tx.send(self.snapshot());
                 }
-                _ = shutdown.changed() => {
-                    if *shutdown.borrow() {
+                changed = shutdown.changed() => {
+                    // A closed channel means the handle is gone, and with
+                    // it every way to stop the node: stop now rather than
+                    // spin on a wait that returns at once.
+                    if changed.is_err() || *shutdown.borrow() {
                         return self.snapshot();
                     }
                 }
@@ -667,10 +704,14 @@ impl NodeRuntime {
     /// the gossip timer can never be stalled by a slow peer.
     fn on_tick(&mut self) {
         if self.cfg.die_after_ticks.is_some_and(|d| self.ticks >= d) {
-            panic!(
+            // Unwind without the panic hook: the crash is expected, and the
+            // hook's backtrace capture (under RUST_BACKTRACE=1, in a debug
+            // build) takes long enough to delay the supervisor's view of
+            // the exit. The message still reaches the exit classification.
+            std::panic::resume_unwind(Box::new(format!(
                 "fault injection: node {} dying after {} ticks",
                 self.cfg.id, self.ticks
-            );
+            )));
         }
 
         // Membership (Fig. 3, active side): the reply arrives asynchronously.
@@ -779,9 +820,8 @@ impl NodeRuntime {
     /// link as needed.
     fn enqueue(&mut self, to: NodeId, out: Outbound) {
         if let Some((tx, depth)) = self.links.get(&to) {
-            match tx.try_send(out) {
-                Ok(()) => {
-                    let d = depth.fetch_add(1, Ordering::AcqRel) + 1;
+            match send_counted(tx, depth, out) {
+                Ok(d) => {
                     self.peak_queue_depth = self.peak_queue_depth.max(d);
                     return;
                 }
@@ -867,6 +907,54 @@ mod tests {
         }
     }
 
+    #[test]
+    fn link_depth_never_wraps_under_a_draining_link() {
+        // The link task decrements per dequeue, possibly before the sender's
+        // `try_send` has returned. Counting after the send let the counter
+        // wrap to u64::MAX, and the next `+ 1` overflowed.
+        let (tx, mut rx) = mpsc::channel::<u32>(LINK_QUEUE);
+        let depth = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let drainer = {
+            let (depth, stop) = (Arc::clone(&depth), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    // As `Link::run`: dequeue, then decrement.
+                    while rx.try_recv().is_some() {
+                        let before = depth.fetch_sub(1, Ordering::AcqRel);
+                        assert!(before >= 1, "decrement below zero");
+                    }
+                    std::hint::spin_loop();
+                }
+                rx
+            })
+        };
+        let (mut sent, mut full) = (0u64, 0u64);
+        for i in 0..200_000u32 {
+            match send_counted(&tx, &depth, i) {
+                Ok(d) => {
+                    sent += 1;
+                    // Queued items, plus one dequeued but not yet
+                    // decremented, plus this send.
+                    assert!(
+                        (1..=LINK_QUEUE as u64 + 2).contains(&d),
+                        "depth {d} after send {i}"
+                    );
+                }
+                Err(TrySendError::Full(_)) => full += 1,
+                Err(TrySendError::Closed(_)) => unreachable!("receiver is alive"),
+            }
+        }
+        stop.store(true, Ordering::Release);
+        let mut rx = drainer.join().expect("drainer panicked");
+        let mut left = 0u64;
+        while rx.try_recv().is_some() {
+            left += 1;
+        }
+        assert_eq!(depth.load(Ordering::Acquire), left, "counter drifted");
+        assert_eq!(sent + full, 200_000);
+    }
+
     #[tokio::test]
     async fn node_spawns_registers_and_stops() {
         let directory: Directory = Arc::new(Mutex::new(HashMap::new()));
@@ -924,6 +1012,54 @@ mod tests {
         };
         assert!(reason.contains("die_after_ticks") || reason.contains("dying"));
         assert_eq!(last.ticks, 2, "completed exactly the configured ticks");
+    }
+
+    /// Waits (up to two seconds) for connects to `addr` to be refused,
+    /// i.e. for the node's accept loop to have dropped its listener.
+    async fn listener_closes(addr: SocketAddr) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while std::time::Instant::now() < deadline {
+            if TcpStream::connect(addr).await.is_err() {
+                return true;
+            }
+            tokio::time::sleep(Duration::from_millis(5)).await;
+        }
+        false
+    }
+
+    #[tokio::test]
+    async fn reaped_crash_releases_the_listener() {
+        // The node task panics, but its accept loop is a task of its own.
+        // Reaping drops the handle's watch senders; the loop used to spin
+        // on the closed channels, holding the listener, for the rest of
+        // the process.
+        let directory: Directory = Arc::new(Mutex::new(HashMap::new()));
+        let mut cfg = config(11, 5.0, 5);
+        cfg.die_after_ticks = Some(1);
+        let handle = NodeRuntime::spawn(cfg, directory).await.unwrap();
+        let addr = handle.addr;
+        while !handle.is_finished() {
+            tokio::time::sleep(Duration::from_millis(5)).await;
+        }
+        assert!(matches!(handle.reap().await, NodeExit::Crashed { .. }));
+        assert!(
+            listener_closes(addr).await,
+            "orphaned accept loop kept {addr}"
+        );
+    }
+
+    #[tokio::test]
+    async fn dropped_handle_stops_the_node() {
+        // Nothing can stop a node whose handle is gone, so it stops itself
+        // (and releases its listener) instead of spinning on the closed
+        // shutdown channel.
+        let directory: Directory = Arc::new(Mutex::new(HashMap::new()));
+        let handle = NodeRuntime::spawn(config(12, 5.0, 5), directory)
+            .await
+            .unwrap();
+        let addr = handle.addr;
+        drop(handle);
+        assert!(listener_closes(addr).await, "dropped node kept {addr}");
     }
 
     #[tokio::test]
